@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.basicblock import BasicBlock
@@ -107,17 +108,32 @@ class CompiledFunction:
     lineno: int
     #: parameter names with inferred kinds, in signature order
     params: List[Tuple[str, str]] = field(default_factory=list)
-    #: clean re-rendered source (``ast.unparse``) for the oracle / runlog
-    source: Optional[str] = None
     #: the named IR, or ``None`` when the function degraded
     function: Optional[Function] = None
     #: one record per unsupported construct (PYF4xx), plus dropped-assert
     #: notes; non-empty degradations with ``function is None`` mean skipped
     degradations: List[DegradationRecord] = field(default_factory=list)
+    #: the ``def`` compiled, kept for :attr:`source`
+    node: Optional[ast.AST] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.function is not None
+
+    @cached_property
+    def source(self) -> Optional[str]:
+        """Clean re-rendered source (``ast.unparse``) for the oracle / runlog.
+
+        Rendered on first read: most functions of a real package degrade
+        and nothing reads theirs.  Best-effort -- ``None`` when there is
+        no node or unparse fails.
+        """
+        if self.node is None:
+            return None
+        try:
+            return ast.unparse(self.node)
+        except Exception:  # noqa: BLE001 - unparse is best-effort metadata
+            return None
 
 
 @dataclass
@@ -499,33 +515,50 @@ class _Validator:
 
     # -- loop-variable escape checks (see module docstring) ------------
     def check_loop_targets(self) -> None:
-        loops = [
-            child
-            for child in ast.walk(self.node)
-            if isinstance(child, ast.For) and isinstance(child.target, ast.Name)
-        ]
-        # Name nodes inside the *body* of a loop over each variable: reads
-        # there see that loop's fresh per-iteration binding, so a later
-        # same-named loop "shields" reads inside its own body
+        names = self.kinds.names
+        loops = self.kinds.loops
+        by_target = {id(loop.target): loop for loop in loops}
+        # variables whose reads some range loop checks
+        read_checked = {
+            loop.target.id
+            for loop in loops
+            if _range_call(loop.iter) is not None
+            and any(not isinstance(n.ctx, ast.Store) for n in names[loop.target.id])
+        }
+
+        def may_reassign(loop: ast.For) -> bool:
+            """Whether a write of the loop's variable may lie inside it: any
+            write but a loop target, or the target of a loop it holds."""
+            for child in names[loop.target.id]:
+                if isinstance(child.ctx, ast.Store) and child is not loop.target:
+                    other = by_target.get(id(child))
+                    if other is None or _holds(loop, other):
+                        return True
+            return False
+
+        # ids of each loop variable's Name nodes inside its loop, and inside
+        # the *body* of any loop over it: reads there see that loop's fresh
+        # per-iteration binding, so a later same-named loop "shields" reads
+        # inside its own body.  A loop that can give no record is not walked.
+        inside: Dict[int, set] = {}
         shielded: Dict[str, set] = {}
         for loop in loops:
-            ids = shielded.setdefault(loop.target.id, set())
-            for body_stmt in loop.body:
-                for child in ast.walk(body_stmt):
-                    if isinstance(child, ast.Name):
-                        ids.add(id(child))
-        for loop in loops:
             var = loop.target.id
-            subtree = {
-                id(child)
-                for child in ast.walk(loop)
-                if isinstance(child, ast.Name)
-            }
+            if var not in read_checked and not may_reassign(loop):
+                continue
+            body = _name_ids(loop.body, var)
+            shielded.setdefault(var, set()).update(body)
+            inside[id(loop)] = body | _name_ids(
+                [loop.target, loop.iter, *loop.orelse], var
+            )
+        for loop in loops:
+            subtree = inside.get(id(loop))
+            if subtree is None:
+                continue
+            var = loop.target.id
             end = (loop.end_lineno or loop.lineno, loop.end_col_offset or 0)
             is_range = _range_call(loop.iter) is not None
-            for child in ast.walk(self.node):
-                if not isinstance(child, ast.Name) or child.id != var:
-                    continue
+            for child in names[var]:
                 if isinstance(child.ctx, ast.Store):
                     if id(child) in subtree and child is not loop.target:
                         self.problem(
@@ -536,13 +569,35 @@ class _Validator:
                         )
                 elif is_range and id(child) not in subtree:
                     position = (child.lineno, child.col_offset)
-                    if position > end and id(child) not in shielded.get(var, ()):
+                    if position > end and id(child) not in shielded[var]:
                         self.problem(
                             "PYF405", "loop-variable-read-after-loop",
                             f"loop variable {var!r} is read after its loop "
                             f"(line {child.lineno}); its post-loop value "
                             "differs from CPython's",
                         )
+
+
+def _holds(outer: ast.stmt, inner: ast.stmt) -> bool:
+    """Whether statement ``inner`` lies inside compound statement ``outer``.
+
+    Statements nest by source span, and a compound statement never
+    shares its first line with another statement's start.
+    """
+    start = (inner.lineno, inner.col_offset)
+    return (outer.lineno, outer.col_offset) < start < (
+        outer.end_lineno or outer.lineno, outer.end_col_offset or 0
+    )
+
+
+def _name_ids(nodes: Sequence[ast.AST], name: str) -> set:
+    """The ids of the ``Name`` nodes called ``name`` under ``nodes``."""
+    return {
+        id(child)
+        for node in nodes
+        for child in ast.walk(node)
+        if isinstance(child, ast.Name) and child.id == name
+    }
 
 
 def _range_call(node: ast.AST) -> Optional[ast.Call]:
@@ -1001,10 +1056,6 @@ def compile_function(
     """Compile one ``ast.FunctionDef``; degrades instead of raising."""
     scope = qualname
     where = f"{origin}:{node.lineno}"
-    try:
-        source = ast.unparse(node)
-    except Exception:  # noqa: BLE001 - unparse is best-effort metadata
-        source = None
     kinds = infer_kinds(node)
     params = [(arg.arg, kinds.kind_of(arg.arg)) for arg in _all_args(node)]
     compiled = CompiledFunction(
@@ -1012,7 +1063,7 @@ def compile_function(
         origin=where,
         lineno=node.lineno,
         params=params,
-        source=source,
+        node=node,
     )
     try:
         records = _Validator(node, kinds, scope).run()
@@ -1083,20 +1134,29 @@ def compile_module(source: str, origin: str = "<python>") -> ModuleCompilation:
     return out
 
 
+#: the fields that hold statement lists (``handlers`` and ``cases`` hold
+#: nodes whose ``body`` does); a ``def`` can only appear in one of these
+_BLOCKS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
 def _function_defs(tree: ast.Module) -> List[Tuple[str, ast.AST]]:
-    """Every (qualname, def) in the module, in source order."""
+    """Every (qualname, def) in the module, in source order.
+
+    Recurses through statement lists only: expressions cannot hold a def.
+    """
     found: List[Tuple[str, ast.AST]] = []
 
-    def walk(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append((prefix + child.name, child))
-                walk(child, prefix + child.name + ".")
-            elif isinstance(child, ast.ClassDef):
-                walk(child, prefix + child.name + ".")
+    def walk(statements: Sequence[ast.AST], prefix: str) -> None:
+        for node in statements:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((prefix + node.name, node))
+                walk(node.body, prefix + node.name + ".")
+            elif isinstance(node, ast.ClassDef):
+                walk(node.body, prefix + node.name + ".")
             else:
-                walk(child, prefix)
+                for block in _BLOCKS:
+                    walk(getattr(node, block, ()), prefix)
 
-    walk(tree, "")
+    walk(tree.body, "")
     found.sort(key=lambda item: item[1].lineno)
     return found

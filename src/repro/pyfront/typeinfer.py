@@ -9,10 +9,12 @@ A name used both ways (or a list that is *assigned*, i.e. created
 locally) is a kind conflict -- the function degrades with ``PYF404``
 instead of guessing.
 
-The inference is deliberately syntactic: two linear passes over the
-``ast``, no dataflow.  That matches the frontend's contract -- it must
+The inference is deliberately syntactic: one ``ast.walk`` of the
+function, no dataflow.  That matches the frontend's contract -- it must
 never be *wrong silently*; when in doubt it reports a conflict and the
-function degrades.
+function degrades.  The same walk gathers what the loop-variable checks
+in :mod:`repro.pyfront.lower` read (every ``Name`` node and every ``for``
+over a plain name), so a function is walked once, not once per check.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ class Kinds:
     conflicts: List[Tuple[str, str, str]] = field(default_factory=list)
     #: every name written anywhere (Store context, incl. for-targets)
     assigned: Set[str] = field(default_factory=set)
+    #: identifier -> its ``Name`` nodes, in ``ast.walk`` order
+    names: Dict[str, List[ast.Name]] = field(default_factory=dict)
+    #: the ``for`` loops whose target is a plain name, in ``ast.walk`` order
+    loops: List[ast.For] = field(default_factory=list)
 
     def kind_of(self, name: str) -> str:
         return self.kinds.get(name, INT)
@@ -46,22 +52,37 @@ class Kinds:
 
 
 def infer_kinds(node: ast.FunctionDef) -> Kinds:
-    """Infer the kind of every name in one function body."""
+    """Infer the kind of every name in one function body, in one walk.
+
+    ``ast.walk`` yields a node before its children, so a ``Name`` that a
+    subscript, call or ``for`` claims as a list position or a callee is
+    already claimed by the time the walk reaches it.
+    """
     int_uses: Dict[str, str] = {}
     list_uses: Dict[str, str] = {}
     assigned: Set[str] = set()
-    # Name nodes claimed by a list-position or call-callee pattern; the
-    # generic pass below must not double-count them as int uses
+    # Name nodes claimed by a list-position or call-callee pattern; they
+    # must not also count as int uses
     claimed: Set[int] = set()
+    names: Dict[str, List[ast.Name]] = {}
+    loops: List[ast.For] = []
 
     def list_use(name_node: ast.Name, why: str) -> None:
         list_uses.setdefault(name_node.id, why)
         claimed.add(id(name_node))
 
-    # pass 1: structural list positions
     for child in ast.walk(node):
-        if isinstance(child, ast.Subscript) and isinstance(child.value, ast.Name):
-            list_use(child.value, "subscripted")
+        if isinstance(child, ast.Name):
+            names.setdefault(child.id, []).append(child)
+            if isinstance(child.ctx, ast.Store):
+                assigned.add(child.id)
+                if id(child) not in claimed:
+                    int_uses.setdefault(child.id, "assigned")
+            elif id(child) not in claimed:
+                int_uses.setdefault(child.id, "used as an integer")
+        elif isinstance(child, ast.Subscript):
+            if isinstance(child.value, ast.Name):
+                list_use(child.value, "subscripted")
         elif isinstance(child, ast.Call):
             if isinstance(child.func, ast.Name):
                 claimed.add(id(child.func))  # callee, not a value use
@@ -71,19 +92,11 @@ def infer_kinds(node: ast.FunctionDef) -> Kinds:
                     and isinstance(child.args[0], ast.Name)
                 ):
                     list_use(child.args[0], "passed to len()")
-        elif isinstance(child, ast.For) and isinstance(child.iter, ast.Name):
-            list_use(child.iter, "iterated over")
-
-    # pass 2: every remaining name is an int position
-    for child in ast.walk(node):
-        if not isinstance(child, ast.Name):
-            continue
-        if isinstance(child.ctx, ast.Store):
-            assigned.add(child.id)
-            if id(child) not in claimed:
-                int_uses.setdefault(child.id, "assigned")
-        elif id(child) not in claimed:
-            int_uses.setdefault(child.id, "used as an integer")
+        elif isinstance(child, ast.For):
+            if isinstance(child.iter, ast.Name):
+                list_use(child.iter, "iterated over")
+            if isinstance(child.target, ast.Name):
+                loops.append(child)
 
     kinds: Dict[str, str] = {}
     conflicts: List[Tuple[str, str, str]] = []
@@ -96,7 +109,9 @@ def infer_kinds(node: ast.FunctionDef) -> Kinds:
             kinds[name] = INT
     for arg in _all_args(node):
         kinds.setdefault(arg.arg, INT)
-    return Kinds(kinds=kinds, conflicts=conflicts, assigned=assigned)
+    return Kinds(
+        kinds=kinds, conflicts=conflicts, assigned=assigned, names=names, loops=loops
+    )
 
 
 def _all_args(node: ast.FunctionDef) -> List[ast.arg]:
