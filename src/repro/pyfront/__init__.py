@@ -65,4 +65,6 @@ SUPPORTED = {
     "len": "`len(a)` of a list parameter reads `a$len`",
     "assert": "`assert n <op> literal` and `assert len(a) <op> literal` "
     "become range assumptions (other asserts drop with a PYF407 note)",
+    "annotations": "parameter, return and variable annotations are not "
+    "uses of the names in them; `x: int = e` lowers as `x = e`",
 }

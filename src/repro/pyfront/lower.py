@@ -13,6 +13,7 @@ semantics to CPython on int inputs (the differential oracle in
   ``len()``
 * ``assert`` bounds of the shapes ``assert n <op> literal`` and
   ``assert len(a) <op> literal``, recorded as range assumptions
+* annotations, which are not uses of the names in them
 
 Everything else **degrades, never raises**: validation collects one
 :class:`~repro.resilience.isolation.DegradationRecord` per unsupported

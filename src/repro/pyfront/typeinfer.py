@@ -7,7 +7,9 @@ fits one of those: parameters and locals used in arithmetic, compares,
 are subscripted, iterated over, or passed to ``len()`` are ``list``.
 A name used both ways (or a list that is *assigned*, i.e. created
 locally) is a kind conflict -- the function degrades with ``PYF404``
-instead of guessing.
+instead of guessing.  Annotations (of parameters, of the return, of an
+annotated assignment) are not uses: ``a: List[int]`` leaves ``List``
+out of it.
 
 The inference is deliberately syntactic: one ``ast.walk`` of the
 function, no dataflow.  That matches the frontend's contract -- it must
@@ -56,7 +58,8 @@ def infer_kinds(node: ast.FunctionDef) -> Kinds:
 
     ``ast.walk`` yields a node before its children, so a ``Name`` that a
     subscript, call or ``for`` claims as a list position or a callee is
-    already claimed by the time the walk reaches it.
+    already claimed by the time the walk reaches it -- and a node inside
+    an annotation is already known to be one.
     """
     int_uses: Dict[str, str] = {}
     list_uses: Dict[str, str] = {}
@@ -66,12 +69,17 @@ def infer_kinds(node: ast.FunctionDef) -> Kinds:
     claimed: Set[int] = set()
     names: Dict[str, List[ast.Name]] = {}
     loops: List[ast.For] = []
+    # nodes inside an annotation: skipped, and so are their children
+    annotation: Set[int] = set()
 
     def list_use(name_node: ast.Name, why: str) -> None:
         list_uses.setdefault(name_node.id, why)
         claimed.add(id(name_node))
 
     for child in ast.walk(node):
+        if id(child) in annotation:
+            annotation.update(id(inner) for inner in ast.iter_child_nodes(child))
+            continue
         if isinstance(child, ast.Name):
             names.setdefault(child.id, []).append(child)
             if isinstance(child.ctx, ast.Store):
@@ -97,6 +105,12 @@ def infer_kinds(node: ast.FunctionDef) -> Kinds:
                 list_use(child.iter, "iterated over")
             if isinstance(child.target, ast.Name):
                 loops.append(child)
+        elif isinstance(child, (ast.arg, ast.AnnAssign)):
+            if child.annotation is not None:
+                annotation.add(id(child.annotation))
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if child.returns is not None:
+                annotation.add(id(child.returns))
 
     kinds: Dict[str, str] = {}
     conflicts: List[Tuple[str, str, str]] = []

@@ -3,7 +3,8 @@
 pyfront once walked each function twice to infer kinds and once more
 per ``for`` loop to check loop variables.  ``repro.pyfront`` now does it
 in one walk; ``test_single_pass.py`` holds that walk to these, the
-straightforward versions, on every ``def`` of the repository.
+straightforward versions, on every ``def`` of the repository.  Both
+leave annotations out: they are not uses of a name.
 """
 
 import ast
@@ -11,6 +12,21 @@ from typing import Dict, List, Set, Tuple
 
 from repro.pyfront.lower import _range_call, _Validator
 from repro.pyfront.typeinfer import INT, LIST, Kinds
+
+
+def walk(node: ast.AST):
+    """``ast.walk`` without the annotations' subtrees."""
+    skip = set()
+    for child in ast.walk(node):
+        if isinstance(child, (ast.arg, ast.AnnAssign)):
+            annotation = child.annotation
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = child.returns
+        else:
+            continue
+        if annotation is not None:
+            skip.update(id(inner) for inner in ast.walk(annotation))
+    return [child for child in ast.walk(node) if id(child) not in skip]
 
 
 def infer_kinds(node: ast.FunctionDef) -> Kinds:
@@ -24,7 +40,7 @@ def infer_kinds(node: ast.FunctionDef) -> Kinds:
         list_uses.setdefault(name_node.id, why)
         claimed.add(id(name_node))
 
-    for child in ast.walk(node):
+    for child in walk(node):
         if isinstance(child, ast.Subscript) and isinstance(child.value, ast.Name):
             list_use(child.value, "subscripted")
         elif isinstance(child, ast.Call):
@@ -39,7 +55,7 @@ def infer_kinds(node: ast.FunctionDef) -> Kinds:
         elif isinstance(child, ast.For) and isinstance(child.iter, ast.Name):
             list_use(child.iter, "iterated over")
 
-    for child in ast.walk(node):
+    for child in walk(node):
         if not isinstance(child, ast.Name):
             continue
         if isinstance(child.ctx, ast.Store):
@@ -70,26 +86,26 @@ class Validator(_Validator):
     def check_loop_targets(self) -> None:
         loops = [
             child
-            for child in ast.walk(self.node)
+            for child in walk(self.node)
             if isinstance(child, ast.For) and isinstance(child.target, ast.Name)
         ]
         shielded: Dict[str, set] = {}
         for loop in loops:
             ids = shielded.setdefault(loop.target.id, set())
             for body_stmt in loop.body:
-                for child in ast.walk(body_stmt):
+                for child in walk(body_stmt):
                     if isinstance(child, ast.Name):
                         ids.add(id(child))
         for loop in loops:
             var = loop.target.id
             subtree = {
                 id(child)
-                for child in ast.walk(loop)
+                for child in walk(loop)
                 if isinstance(child, ast.Name)
             }
             end = (loop.end_lineno or loop.lineno, loop.end_col_offset or 0)
             is_range = _range_call(loop.iter) is not None
-            for child in ast.walk(self.node):
+            for child in walk(self.node):
                 if not isinstance(child, ast.Name) or child.id != var:
                     continue
                 if isinstance(child.ctx, ast.Store):

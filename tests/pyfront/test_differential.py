@@ -7,19 +7,26 @@ final list contents) must be identical.  Inputs on which CPython itself
 raises (failed precondition asserts, index errors, division by zero) are
 discarded: both sides are out of contract there.
 
+Typed copies of ``kernels.py`` -- every parameter, return and first
+local assignment annotated -- must lower to the untyped IR and pass the
+same oracle: annotations are not uses of a name.
+
 Negative *constant* indices in source (``xs[-1]``) are rewritten by the
 lowerer to length-relative form and compare cleanly.  Computed-negative
 indices would diverge (Python wraps, the IR does not), but the corpus
 only ever indexes with loop counters and asserted-nonnegative scalars.
 """
 
+import __future__
 import os
+import re
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from repro.ir.interp import Interpreter, InterpreterError
+from repro.ir.printer import print_function
 from repro.pyfront.lower import LEN_SUFFIX, compile_module
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -36,6 +43,37 @@ def _compiled_corpus():
 
 
 COMPILED = _compiled_corpus()
+
+
+def _typed_kernels():
+    """``kernels.py`` with annotations added on the lines they type, so
+    line numbers (and so loop header labels) stay put."""
+    path = os.path.join(CORPUS, "kernels.py")
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    params = {cf.qualname: dict(cf.params) for cf in COMPILED}
+    assert lines[7] == ""
+    lines[7] = "from typing import List"
+    kinds = {}
+    for number, line in enumerate(lines):
+        header = re.match(r"def (\w+)\((.*)\):$", line)
+        if header:
+            kinds = params[header.group(1)]
+            typed = ", ".join(
+                f"{name}: {'List[int]' if kinds[name] == 'list' else 'int'}"
+                for name in header.group(2).split(", ")
+            )
+            lines[number] = f"def {header.group(1)}({typed}) -> int:"
+            continue
+        local = re.match(r"(\s+)(\w+) = (.*)$", line)
+        if local and local.group(2) not in kinds:
+            kinds = dict(kinds, **{local.group(2): "int"})
+            lines[number] = f"{local.group(1)}{local.group(2)}: int = {local.group(3)}"
+    module = compile_module("\n".join(lines), origin=path)
+    return module.functions
+
+
+TYPED = _typed_kernels()
 
 
 def _int_strategy(cf, name):
@@ -58,7 +96,9 @@ def _int_strategy(cf, name):
 
 def _python_reference(cf, ints, lists):
     env = {"__builtins__": {"range": range, "len": len}}
-    exec(cf.source, env)
+    # annotations stay unevaluated: typed sources name typing's List
+    flags = __future__.annotations.compiler_flag
+    exec(compile(cf.source, cf.origin, "exec", flags=flags, dont_inherit=True), env)
     fn = env[cf.qualname]
     kwargs = dict(ints)
     copies = {name: list(values) for name, values in lists.items()}
@@ -98,6 +138,36 @@ def _normalize(value):
 )
 @given(data=st.data())
 def test_ir_matches_cpython(cf, data):
+    _check_against_cpython(cf, data)
+
+
+@pytest.mark.parametrize("cf", TYPED, ids=lambda cf: "typed-" + cf.qualname)
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_typed_kernels_match_cpython(cf, data):
+    assert cf.ok, [d.message for d in cf.degradations]
+    assert "-> int" in cf.source
+    _check_against_cpython(cf, data)
+
+
+def test_typed_kernels_lower_to_the_untyped_ir():
+    kernels = os.path.join(CORPUS, "kernels.py:")
+    untyped = {cf.qualname: cf for cf in COMPILED if cf.origin.startswith(kernels)}
+    assert len(TYPED) == 8
+    for cf in TYPED:
+        plain = untyped[cf.qualname]
+        assert cf.ok, [d.message for d in cf.degradations]
+        assert cf.params == plain.params
+        assert print_function(cf.function) == print_function(plain.function)
+        assert cf.function.assumptions == plain.function.assumptions
+        assert cf.function.array_extents == plain.function.array_extents
+
+
+def _check_against_cpython(cf, data):
     ints = {}
     lists = {}
     for name, kind in cf.params:
