@@ -475,13 +475,13 @@ def pylint_main(argv: Optional[List[str]] = None) -> int:
             budget=_budget_from_args(args),
         )
 
+    rendered = (
+        render_corpus_json(result) if args.out or args.format == "json" else None
+    )
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(render_corpus_json(result) + "\n")
-    if args.format == "json":
-        print(render_corpus_json(result))
-    else:
-        print(render_corpus_text(result))
+            handle.write(rendered + "\n")
+    print(rendered if args.format == "json" else render_corpus_text(result))
 
     if args.fail_on != "never":
         threshold = Severity[args.fail_on.upper()]

@@ -300,12 +300,18 @@ def _lint_additive_laws(program, summary, loop, out: DiagnosticCollector) -> Non
 # ----------------------------------------------------------------------
 # source lints
 # ----------------------------------------------------------------------
-def lint_source(program, out: DiagnosticCollector) -> None:
+#: ``lint_source``'s default ``graph``: build the dependence graph there
+_BUILD = object()
+
+
+def lint_source(program, out: DiagnosticCollector, graph=_BUILD) -> None:
+    """The source lints.  A caller that already built the dependence graph
+    passes it as ``graph``, or ``None`` when building it failed."""
     _lint_hoistable(program, out)
     _lint_dead_stores(program, out)
     _lint_unused_definitions(program, out)
     _lint_subscripts(program, out)
-    _lint_imprecise_dependences(program, out)
+    _lint_imprecise_dependences(program, out, graph)
 
 
 def _lint_hoistable(program, out: DiagnosticCollector) -> None:
@@ -416,16 +422,19 @@ def _lint_unused_definitions(program, out: DiagnosticCollector) -> None:
                 )
 
 
-def _lint_imprecise_dependences(program, out: DiagnosticCollector) -> None:
+def _lint_imprecise_dependences(program, out: DiagnosticCollector, graph) -> None:
     """Dependence tests that fell back to the conservative answer because a
     subscript classified as Unknown (SRC405).  SRC403 flags the subscript
     itself; this flags the *pairs* whose verdict lost precision, with the
     descriptor's reason carried through the result notes."""
-    from repro.dependence.graph import build_dependence_graph
+    if graph is _BUILD:
+        from repro.dependence.graph import build_dependence_graph
 
-    try:
-        graph = build_dependence_graph(program.result)
-    except Exception:
+        try:
+            graph = build_dependence_graph(program.result)
+        except Exception:
+            graph = None
+    if graph is None:
         return  # the graph is itself an optional phase; nothing to report
     seen: Set[Tuple[str, str, str]] = set()
     for edge in graph.edges:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.diagnostics.diagnostic import Diagnostic, DiagnosticCollector
 from repro.pyfront.lower import CompiledFunction, compile_module
@@ -56,10 +56,18 @@ class CorpusResult:
     degraded: int = 0
     outcomes: List[FunctionOutcome] = field(default_factory=list)
     collector: DiagnosticCollector = field(default_factory=DiagnosticCollector)
+    #: (collector size, its sorted findings) as of the last sort
+    _sorted: Optional[Tuple[int, List[Diagnostic]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def findings(self) -> List[Diagnostic]:
-        return self.collector.sorted()
+        """The collector's findings, sorted; sorted again only if it grew."""
+        size = len(self.collector)
+        if self._sorted is None or self._sorted[0] != size:
+            self._sorted = (size, self.collector.sorted())
+        return self._sorted[1]
 
 
 def _publish(
@@ -106,17 +114,26 @@ def _skip_record(cf: CompiledFunction) -> Dict[str, Any]:
     }
 
 
-def _loop_rows(program) -> List[Dict[str, Any]]:
-    """Per-loop verdicts + classifications for the corpus report."""
+def _dependence_graph(result):
+    """The function's dependence graph, or None when building it failed."""
+    from repro.dependence.graph import build_dependence_graph
+
+    try:
+        return build_dependence_graph(result)
+    except Exception:  # noqa: BLE001 - verdicts degrade to undecided
+        return None
+
+
+def _loop_rows(program, graph) -> List[Dict[str, Any]]:
+    """Per-loop verdicts + classifications for the corpus report; every
+    verdict is undecided when there is no dependence ``graph``."""
     rows: List[Dict[str, Any]] = []
     result = program.result
     verdicts: Dict[str, Any] = {}
-    if result.loops:
+    if result.loops and graph is not None:
         try:
-            from repro.dependence.graph import build_dependence_graph
             from repro.dependence.loopinfo import analyze_parallelism
 
-            graph = build_dependence_graph(result)
             verdicts = analyze_parallelism(result, graph)
         except Exception:  # noqa: BLE001 - verdicts degrade to undecided
             verdicts = {}
@@ -186,8 +203,10 @@ def _analyze_compiled(
     # static lints only: execution lints re-interpret every sample, which
     # a corpus-scale walk cannot afford (and the differential oracle
     # already holds lowering to CPython semantics)
+    # one dependence graph feeds both SRC405 and the loop verdicts
+    graph = _dependence_graph(program.result)
     lint_lattice(program, local)
-    lint_src(program, local)
+    lint_src(program, local, graph=graph)
     if ranges and program.result.ranges is not None:
         from repro.ranges import check_ranges
 
@@ -197,7 +216,7 @@ def _analyze_compiled(
         origin=cf.origin,
         qualname=cf.qualname,
         ok=True,
-        loops=_loop_rows(program),
+        loops=_loop_rows(program, graph),
     )
 
 

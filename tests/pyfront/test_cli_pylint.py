@@ -89,6 +89,27 @@ class TestOutput:
         # text still goes to stdout alongside the artifact
         assert "== corpus ==" in capsys.readouterr().out
 
+    def test_json_and_out_render_once_and_sort_once(self, tmp_path, capsys, monkeypatch):
+        import repro.pyfront
+        from repro.diagnostics.diagnostic import DiagnosticCollector
+
+        renders, sorts = [], []
+        render, collector_sorted = repro.pyfront.render_corpus_json, DiagnosticCollector.sorted
+        monkeypatch.setattr(
+            repro.pyfront, "render_corpus_json",
+            lambda result: renders.append(result) or render(result),
+        )
+        monkeypatch.setattr(
+            DiagnosticCollector, "sorted",
+            lambda self: sorts.append(self) or collector_sorted(self),
+        )
+        artifact = tmp_path / "findings.json"
+        main(["pylint", CORPUS, "--format", "json", "--out", str(artifact),
+              "--fail-on", "error"])
+        assert len(renders) == 1
+        assert len(sorts) == 1
+        assert artifact.read_text() == capsys.readouterr().out
+
     def test_no_ranges_suppresses_rng_findings(self, capsys):
         numeric = os.path.join(CORPUS, "numeric.py")
         main(["pylint", "--no-ranges", numeric])

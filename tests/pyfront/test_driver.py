@@ -132,3 +132,51 @@ def test_degraded_functions_get_skip_records(tmp_path):
     for record in records:
         assert validate_record(record) is None
         assert record["degradations"]
+
+
+INDIRECT = """
+def indirect(a, b, n):
+    for i in range(n):
+        a[b[i]] = a[b[i]] + 1
+    return 0
+"""
+
+
+def _count_builds(monkeypatch, fail=False):
+    import repro.dependence.graph as graph_module
+
+    builds = []
+    build = graph_module.build_dependence_graph
+
+    def counted(result, *args, **kwargs):
+        builds.append(result)
+        if fail:
+            raise RuntimeError("injected")
+        return build(result, *args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "build_dependence_graph", counted)
+    return builds
+
+
+def test_dependence_graph_built_once_per_lowered_function(tmp_path, monkeypatch):
+    path = tmp_path / "indirect.py"
+    path.write_text(INDIRECT)
+    builds = _count_builds(monkeypatch)
+    result = pylint_paths([str(path), CORPUS])
+    assert len(builds) == result.lowered
+    assert [d.code for d in result.findings].count("SRC405") == 1
+    rows = [row for outcome in result.outcomes for row in outcome.loops]
+    assert all(row["parallel"] is not None for row in rows)
+
+
+def test_failed_graph_build_leaves_verdicts_undecided_and_no_src405(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "indirect.py"
+    path.write_text(INDIRECT)
+    builds = _count_builds(monkeypatch, fail=True)
+    result = pylint_paths([str(path)])
+    assert result.lowered == 1 and len(builds) == 1
+    (row,) = result.outcomes[0].loops
+    assert row["parallel"] is None and row["blocked_by"] == []
+    assert "SRC405" not in [d.code for d in result.findings]
