@@ -200,11 +200,11 @@ def _analyze_compiled(
             local.diagnostics.append(diagnostic)
     if program.degradations:
         diagnostics_of(program.degradations, local)
+    # one dependence graph feeds both SRC405 and the loop verdicts
+    graph = _dependence_graph(program.result)
     # static lints only: execution lints re-interpret every sample, which
     # a corpus-scale walk cannot afford (and the differential oracle
     # already holds lowering to CPython semantics)
-    # one dependence graph feeds both SRC405 and the loop verdicts
-    graph = _dependence_graph(program.result)
     lint_lattice(program, local)
     lint_src(program, local, graph=graph)
     if ranges and program.result.ranges is not None:

@@ -582,8 +582,8 @@ class _Validator:
 def _holds(outer: ast.stmt, inner: ast.stmt) -> bool:
     """Whether statement ``inner`` lies inside compound statement ``outer``.
 
-    Statements nest by source span, and a compound statement never
-    shares its first line with another statement's start.
+    Statements nest by source span: one that starts inside another's
+    span is part of it.
     """
     start = (inner.lineno, inner.col_offset)
     return (outer.lineno, outer.col_offset) < start < (
