@@ -1088,10 +1088,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(ssa_graph_to_dot(program.ssa))
         return 0
     if args.dot_deps:
-        from repro.dependence.graph import build_dependence_graph
         from repro.ir.dot import dependence_graph_to_dot
 
-        print(dependence_graph_to_dot(build_dependence_graph(program.result)))
+        if program.dependence_graph is None:
+            print("error: dependence analysis failed", file=sys.stderr)
+            return 1
+        print(dependence_graph_to_dot(program.dependence_graph))
         return 0
 
     diagnostics = None

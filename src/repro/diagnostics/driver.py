@@ -73,11 +73,6 @@ def lint_source(
         if (diagnostic.code, diagnostic.message) not in seen:
             local.diagnostics.append(diagnostic)
 
-    if program.degradations:
-        from repro.resilience.isolation import diagnostics_of
-
-        diagnostics_of(program.degradations, local)
-
     if execution:
         lint_program(program, collector=local, samples=samples)
     else:
@@ -95,6 +90,12 @@ def lint_source(
         from repro.invariants import check_invariants
 
         check_invariants(program, local, samples=samples)
+
+    # last: the lints run the dependence phase, which may degrade too
+    if program.degradations:
+        from repro.resilience.isolation import diagnostics_of
+
+        diagnostics_of(program.degradations, local)
     return _publish(local, out, origin)
 
 

@@ -300,18 +300,12 @@ def _lint_additive_laws(program, summary, loop, out: DiagnosticCollector) -> Non
 # ----------------------------------------------------------------------
 # source lints
 # ----------------------------------------------------------------------
-#: ``lint_source``'s default ``graph``: build the dependence graph there
-_BUILD = object()
-
-
-def lint_source(program, out: DiagnosticCollector, graph=_BUILD) -> None:
-    """The source lints.  A caller that already built the dependence graph
-    passes it as ``graph``, or ``None`` when building it failed."""
+def lint_source(program, out: DiagnosticCollector) -> None:
     _lint_hoistable(program, out)
     _lint_dead_stores(program, out)
     _lint_unused_definitions(program, out)
     _lint_subscripts(program, out)
-    _lint_imprecise_dependences(program, out, graph)
+    _lint_imprecise_dependences(program, out)
 
 
 def _lint_hoistable(program, out: DiagnosticCollector) -> None:
@@ -395,7 +389,11 @@ def _fmt_subscript(inst: Store) -> str:
 
 
 def _lint_unused_definitions(program, out: DiagnosticCollector) -> None:
-    """Pure definitions nothing ever reads (SRC404): DCE candidates."""
+    """Pure definitions nothing ever reads (SRC404): DCE candidates.
+
+    Compiler temporaries (``$``-prefixed names) are skipped: an unused
+    one is an artifact of lowering, not something the source can delete.
+    """
     function = program.ssa
     used: Set[str] = set()
     for block in function:
@@ -411,7 +409,7 @@ def _lint_unused_definitions(program, out: DiagnosticCollector) -> None:
         for inst in block:
             if not isinstance(inst, PURE) or inst.result is None:
                 continue
-            if inst.result not in used:
+            if inst.result not in used and not inst.result.startswith("$"):
                 out.emit(
                     "SRC404",
                     f"%{inst.result} is never used",
@@ -422,18 +420,12 @@ def _lint_unused_definitions(program, out: DiagnosticCollector) -> None:
                 )
 
 
-def _lint_imprecise_dependences(program, out: DiagnosticCollector, graph) -> None:
+def _lint_imprecise_dependences(program, out: DiagnosticCollector) -> None:
     """Dependence tests that fell back to the conservative answer because a
     subscript classified as Unknown (SRC405).  SRC403 flags the subscript
     itself; this flags the *pairs* whose verdict lost precision, with the
     descriptor's reason carried through the result notes."""
-    if graph is _BUILD:
-        from repro.dependence.graph import build_dependence_graph
-
-        try:
-            graph = build_dependence_graph(program.result)
-        except Exception:
-            graph = None
+    graph = program.dependence_graph
     if graph is None:
         return  # the graph is itself an optional phase; nothing to report
     seen: Set[Tuple[str, str, str]] = set()

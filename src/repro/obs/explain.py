@@ -93,19 +93,19 @@ def _explain_loop(program, header: str) -> List[str]:
     renders the DOALL verdict and, when serial, the structured
     why-not-DOALL attribution (one reason per carried dependence).
     """
-    from repro.dependence.graph import build_dependence_graph
-    from repro.dependence.loopinfo import analyze_parallelism
-
     summary = program.result.loops[header]
     lines = [f"loop {header} (depth {summary.loop.depth})"]
-    try:
-        verdicts = analyze_parallelism(
-            program.result, build_dependence_graph(program.result)
+    if program.dependence_graph is None:  # degraded analyses lack a graph
+        failure = next(
+            record.message
+            for record in reversed(program.degradations)
+            if record.phase == "dependence.graph"
         )
-    except Exception as error:  # degraded analyses may lack a graph
-        lines.append(f"  parallelism undecided: dependence analysis failed ({error})")
+        lines.append(
+            f"  parallelism undecided: dependence analysis failed ({failure})"
+        )
         return lines
-    verdict = verdicts.get(header)
+    verdict = program.parallelism.get(header)
     if verdict is None:
         lines.append("  parallelism undecided: no verdict for this loop")
         return lines

@@ -219,20 +219,6 @@ def _loop_record(result, summary, verdict) -> Dict[str, Any]:
     return record
 
 
-def _parallelism(program):
-    """Per-loop verdicts for the record, or None when the graph fails."""
-    if not program.result.loops:
-        return {}
-    try:
-        from repro.dependence.graph import build_dependence_graph
-        from repro.dependence.loopinfo import analyze_parallelism
-
-        graph = build_dependence_graph(program.result)
-        return analyze_parallelism(program.result, graph)
-    except Exception:
-        return None
-
-
 def _ranges_stats(result) -> Optional[Dict[str, Any]]:
     info = getattr(result, "ranges", None)
     if info is None:
@@ -266,7 +252,8 @@ def build_record(
 ) -> Dict[str, Any]:
     """The flight-recorder record of one analyzed program (JSON-ready)."""
     result = program.result
-    verdicts = _parallelism(program)
+    # read first, so a failed dependence phase is among the degradations
+    verdicts = program.parallelism if result.loops else {}
     loops: List[Dict[str, Any]] = []
     classes_total: Dict[str, int] = {}
     blocked_total: Dict[str, int] = {}
@@ -274,7 +261,7 @@ def build_record(
     for summary in sorted(
         result.loops.values(), key=lambda s: (s.loop.depth, s.label)
     ):
-        verdict = None if verdicts is None else verdicts.get(summary.label)
+        verdict = verdicts.get(summary.label)
         loop_record = _loop_record(result, summary, verdict)
         loops.append(loop_record)
         for kind, count in loop_record["class_counts"].items():

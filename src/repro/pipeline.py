@@ -28,7 +28,8 @@ work for the same dynamic extent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.dominators import DominatorTree, dominator_tree
 from repro.analysis.loops import LoopNest, find_loops
@@ -46,11 +47,7 @@ from repro.obs import trace as _trace
 from repro.resilience import budget as _budget
 from repro.resilience import isolation as _isolation
 from repro.resilience.budget import AnalysisBudget
-from repro.resilience.errors import (
-    MissingPhiError,
-    RecoveryPolicy,
-    wrap_exception,
-)
+from repro.resilience.errors import MissingPhiError
 from repro.resilience.isolation import DegradationRecord
 from repro.ssa.construct import SSAInfo, construct_ssa
 
@@ -74,6 +71,35 @@ class AnalyzedProgram:
     def degraded(self) -> bool:
         """True when any phase, loop, or SCR was degraded or skipped."""
         return bool(self.degradations)
+
+    @property
+    def dependence_graph(self):
+        """The :class:`~repro.dependence.graph.DependenceGraph`, or None
+        when building it failed."""
+        return self._dependence[0]
+
+    @property
+    def parallelism(self):
+        """Per-loop :class:`~repro.dependence.loopinfo.LoopParallelism`
+        verdicts by header; empty when the dependence graph failed."""
+        return self._dependence[1]
+
+    @cached_property
+    def _dependence(self) -> Tuple[Any, Dict[str, Any]]:
+        """Dependence testing (section 6) as an optional phase, run once on
+        first read; a failure is recorded once in ``degradations``."""
+        from repro.dependence.graph import build_dependence_graph
+        from repro.dependence.loopinfo import analyze_parallelism
+
+        def _phase():
+            graph = build_dependence_graph(self.result)
+            return graph, analyze_parallelism(self.result, graph)
+
+        log = _isolation.DegradationLog(records=self.degradations)
+        with _isolation.resilient(log):
+            return _isolation.run_optional(
+                "dependence.graph", _phase, default=(None, {})
+            )
 
     def ssa_names(self, var: str) -> List[str]:
         """All SSA names of one source variable."""
@@ -179,22 +205,56 @@ def analyze(
         except Exception as error:  # noqa: BLE001 - FrontendError re-raises
             _isolation.absorb(error, "frontend", diag_code="RES505")
             return _degraded_program(source, name, log)
-        try:
-            simplify_loops(named)
-        except Exception as error:  # noqa: BLE001
-            _isolation.absorb(
-                error,
-                "analysis.loop-simplify",
-                action="skipped",
-                diag_code="RES502",
-            )
-            # simplify_loops mutates in place: re-lower to discard any
-            # half-canonicalized CFG and analyze the raw form instead
-            named = lower_program(program, name=name)
-        sanitizer.checkpoint(named, "simplify-loops", ssa=False)
+        named = _simplified(named, lambda: lower_program(program, name=name))
         return _analyze_function(
             named, source, optimize, log, ranges=ranges, invariants=invariants
         )
+
+
+def analyze_lowered(
+    function: Function,
+    source: Optional[str] = None,
+    optimize: bool = True,
+    budget: Optional[AnalysisBudget] = None,
+    ranges: bool = False,
+    invariants: bool = False,
+) -> AnalyzedProgram:
+    """Analyze a frontend's lowered ``function`` as :func:`analyze` does.
+
+    A copy is loop-simplified first (``function`` stays intact); a failed
+    simplification is recorded like :func:`analyze` records it, and a
+    fresh copy is analyzed unsimplified.  Isolation, budgets and the
+    optional phases work as in :func:`analyze`.
+    """
+    with _isolation.resilient() as log, _isolation.strict_errors(False), \
+            _budget.budgeted(budget):
+        named = _simplified(
+            clone_function(function), lambda: clone_function(function)
+        )
+        return _analyze_function(
+            named, source, optimize, log, ranges=ranges, invariants=invariants
+        )
+
+
+def _simplified(named: Function, fresh: Callable[[], Function]) -> Function:
+    """``named`` with canonical loops (simplified in place).
+
+    On failure the skip is recorded and ``fresh()`` -- an unsimplified
+    copy -- is returned instead: ``simplify_loops`` mutates in place, so
+    the half-canonicalized CFG is discarded and the raw form analyzed.
+    """
+    try:
+        simplify_loops(named)
+    except Exception as error:  # noqa: BLE001
+        _isolation.absorb(
+            error,
+            "analysis.loop-simplify",
+            action="skipped",
+            diag_code="RES502",
+        )
+        named = fresh()
+    sanitizer.checkpoint(named, "simplify-loops", ssa=False)
+    return named
 
 
 def analyze_function(
@@ -319,68 +379,51 @@ def _run_scalar_passes(ssa: Function) -> None:
     verify_function(ssa, ssa=True)
 
 
+def _build_ssa(named: Function) -> Optional[Tuple[Function, SSAInfo]]:
+    """An SSA copy of ``named``, or None once its failure is recorded."""
+    try:
+        ssa = clone_function(named)
+        return ssa, construct_ssa(ssa)
+    except Exception as error:  # noqa: BLE001 - whole-function boundary
+        _isolation.absorb(error, "ssa.construct", diag_code="RES505")
+        return None
+
+
 def _analyze_function(
     named: Function,
     source: Optional[str],
     optimize: bool,
-    log: Optional[_isolation.DegradationLog] = None,
+    log: _isolation.DegradationLog,
     ranges: bool = False,
     invariants: bool = False,
 ) -> AnalyzedProgram:
-    if log is None:
-        log = _isolation.DegradationLog()
-
     cache_before = _expr_cache_totals() if _metrics.active() is not None else None
 
-    try:
-        ssa = clone_function(named)
-        ssa_info = construct_ssa(ssa)
-    except Exception as error:  # noqa: BLE001 - whole-function boundary
-        _isolation.absorb(error, "ssa.construct", diag_code="RES505")
+    built = _build_ssa(named)
+    if built is None:
         return _degraded_from_named(named, source, log)
+    ssa, ssa_info = built
     sanitizer.checkpoint(ssa, "construct-ssa")
     if optimize:
-        try:
+        tries = []
+
+        def _optimize_phase() -> bool:
+            nonlocal ssa, ssa_info
+            if tries:  # the failed try mutated ``ssa`` in place: rebuild it
+                ssa = clone_function(named)
+                ssa_info = construct_ssa(ssa)
+            tries.append(True)
             _run_scalar_passes(ssa)
-        except Exception as error:  # noqa: BLE001 - phase boundary
-            wrapped = wrap_exception(error, "pipeline.optimize")
-            retry_ok = False
-            if (
-                wrapped.policy is RecoveryPolicy.RETRY
-                and _isolation.isolating()
-            ):
-                log.record(
-                    phase=wrapped.phase or "pipeline.optimize",
-                    code=wrapped.code,
-                    message=wrapped.message,
-                    diag_code="RES504",
-                    action="retried",
-                )
-                # the failed passes mutated ``ssa`` in place: rebuild from
-                # the intact named IR before re-running them
-                try:
-                    ssa = clone_function(named)
-                    ssa_info = construct_ssa(ssa)
-                    _run_scalar_passes(ssa)
-                    retry_ok = True
-                except Exception as retry_error:  # noqa: BLE001
-                    error = retry_error
-                    wrapped = wrap_exception(error, "pipeline.optimize")
-            if not retry_ok:
-                _isolation.absorb(
-                    error,
-                    wrapped.phase or "pipeline.optimize",
-                    action="skipped",
-                    diag_code="RES502",
-                )
-                try:
-                    ssa = clone_function(named)
-                    ssa_info = construct_ssa(ssa)
-                except Exception as rebuild_error:  # noqa: BLE001
-                    _isolation.absorb(
-                        rebuild_error, "ssa.construct", diag_code="RES505"
-                    )
-                    return _degraded_from_named(named, source, log)
+            return True
+
+        if not _isolation.run_optional(
+            "pipeline.optimize", _optimize_phase, default=False
+        ):
+            # skipped: analyze a fresh, unoptimized SSA copy instead
+            built = _build_ssa(named)
+            if built is None:
+                return _degraded_from_named(named, source, log)
+            ssa, ssa_info = built
     try:
         domtree = dominator_tree(ssa)
         nest = find_loops(ssa, domtree)

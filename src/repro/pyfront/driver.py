@@ -114,31 +114,13 @@ def _skip_record(cf: CompiledFunction) -> Dict[str, Any]:
     }
 
 
-def _dependence_graph(result):
-    """The function's dependence graph, or None when building it failed."""
-    from repro.dependence.graph import build_dependence_graph
-
-    try:
-        return build_dependence_graph(result)
-    except Exception:  # noqa: BLE001 - verdicts degrade to undecided
-        return None
-
-
-def _loop_rows(program, graph) -> List[Dict[str, Any]]:
+def _loop_rows(program) -> List[Dict[str, Any]]:
     """Per-loop verdicts + classifications for the corpus report; every
-    verdict is undecided when there is no dependence ``graph``."""
+    verdict is undecided when the dependence graph failed."""
     rows: List[Dict[str, Any]] = []
-    result = program.result
-    verdicts: Dict[str, Any] = {}
-    if result.loops and graph is not None:
-        try:
-            from repro.dependence.loopinfo import analyze_parallelism
-
-            verdicts = analyze_parallelism(result, graph)
-        except Exception:  # noqa: BLE001 - verdicts degrade to undecided
-            verdicts = {}
+    verdicts = program.parallelism
     for summary in sorted(
-        result.loops.values(), key=lambda s: (s.loop.depth, s.label)
+        program.result.loops.values(), key=lambda s: (s.loop.depth, s.label)
     ):
         verdict = verdicts.get(summary.label)
         classes = {
@@ -169,26 +151,19 @@ def _analyze_compiled(
     budget,
 ) -> FunctionOutcome:
     """Full pipeline over one lowered function; never raises."""
-    from repro.analysis.loopsimplify import simplify_loops
     from repro.diagnostics.lints import lint_lattice
     from repro.diagnostics.lints import lint_source as lint_src
     from repro.diagnostics.verifier import verify_collect
-    from repro.ir.clone import clone_function
     from repro.obs import runlog
-    from repro.pipeline import analyze_function
+    from repro.pipeline import analyze_lowered
     from repro.resilience.isolation import diagnostics_of
 
     local = DiagnosticCollector()
     if cf.degradations:
         diagnostics_of(cf.degradations, local, origin=cf.origin, hint=_HINT)
-    named = clone_function(cf.function)
-    try:
-        simplify_loops(named)
-    except Exception:  # noqa: BLE001 - analyze the raw shape instead
-        named = clone_function(cf.function)
     with runlog.origin(cf.origin), runlog.source_lang("python"):
-        program = analyze_function(
-            named,
+        program = analyze_lowered(
+            cf.function,
             source=cf.source,
             ranges=ranges,
             invariants=invariants,
@@ -198,25 +173,24 @@ def _analyze_compiled(
     for diagnostic in verify_collect(program.ssa, ssa=True):
         if (diagnostic.code, diagnostic.message) not in seen:
             local.diagnostics.append(diagnostic)
-    if program.degradations:
-        diagnostics_of(program.degradations, local)
-    # one dependence graph feeds both SRC405 and the loop verdicts
-    graph = _dependence_graph(program.result)
     # static lints only: execution lints re-interpret every sample, which
     # a corpus-scale walk cannot afford (and the differential oracle
     # already holds lowering to CPython semantics)
     lint_lattice(program, local)
-    lint_src(program, local, graph=graph)
+    lint_src(program, local)
     if ranges and program.result.ranges is not None:
         from repro.ranges import check_ranges
 
         check_ranges(program.result, program.result.ranges, local)
+    # last: the lints run the dependence phase, which may degrade too
+    if program.degradations:
+        diagnostics_of(program.degradations, local)
     _publish(local, out, cf.origin)
     return FunctionOutcome(
         origin=cf.origin,
         qualname=cf.qualname,
         ok=True,
-        loops=_loop_rows(program, graph),
+        loops=_loop_rows(program),
     )
 
 

@@ -26,7 +26,7 @@ proportional to the narrowings that happen rather than to
 ``passes * instructions``.  The result is the unique greatest fixpoint
 below the seed (every transfer function is monotone and intersection
 only descends), bit-identical to the old whole-function re-sweep
-retained as :func:`_fixpoint_resweep` for the equivalence tests.
+(kept in ``tests/ranges/resweep.py`` as the equivalence tests' reference).
 
 Everything degrades safely: an unknown symbol, an unevaluable closed
 form, or an injected fault (point ``ranges.compute``) answers the full
@@ -68,8 +68,6 @@ from repro.symbolic.expr import Expr
 TOP = Interval.top()
 _ONE = Interval.point(1)
 
-#: fixpoint pass cap of the reference re-sweep (:func:`_fixpoint_resweep`)
-MAX_PASSES = 8
 #: largest finite iteration span enumerated exactly for closed forms
 MAX_ENUM = 64
 #: largest exponent interval-powered before giving up
@@ -623,17 +621,6 @@ def _compute(function: Function, result: AnalysisResult) -> RangeInfo:
     return info
 
 
-def _compute_resweep(function: Function, result: AnalysisResult) -> RangeInfo:
-    """Reference implementation: seed, then the old whole-function re-sweep.
-
-    Kept (not exported) purely so the equivalence tests can assert the
-    worklist fixpoint is bit-identical to the historical behavior.
-    """
-    info = _seed(function, result)
-    _fixpoint_resweep(function, info)
-    return info
-
-
 def _seed(function: Function, result: AnalysisResult) -> RangeInfo:
     info = RangeInfo(function=function.name, values=assumption_env(function))
     env = info.values
@@ -679,8 +666,8 @@ def _fixpoint_worklist(function: Function, info: RangeInfo) -> None:
     when one of its operands' intervals actually narrowed.  Transfer
     functions are monotone and intersection only descends, so this
     converges to the unique greatest fixpoint below the seed -- the same
-    intervals :func:`_fixpoint_resweep` computes, visiting a fraction of
-    the instructions.
+    intervals the old whole-function re-sweep computed, visiting a
+    fraction of the instructions.
     """
     env = info.values
     insts: List[Instruction] = []
@@ -720,24 +707,3 @@ def _fixpoint_worklist(function: Function, info: RangeInfo) -> None:
     info.fixpoint_insts = count
     info.fixpoint_visits = visits
     info.fixpoint_narrowed = narrowed
-
-
-def _fixpoint_resweep(function: Function, info: RangeInfo) -> None:
-    """The historical intersect-only re-sweep (reference for equivalence)."""
-    env = info.values
-    for _ in range(MAX_PASSES):
-        changed = False
-        for block in function:
-            for inst in block:
-                if inst.result is None:
-                    continue
-                derived = _transfer(inst, info)
-                if derived is None:
-                    continue
-                old = env.get(inst.result, TOP)
-                new = old.intersect(derived)
-                if new != old:
-                    env[inst.result] = new
-                    changed = True
-        if not changed:
-            break

@@ -8,8 +8,9 @@ Used by the command-line interface (``python -m repro``).
 
 Degradations recorded by the fault-tolerant pipeline are rendered in a
 ``== resilience ==`` section; degraded loops are flagged inline.  The
-dependence-graph build itself runs as an *optional phase*: if it fails,
-the report notes the skip instead of crashing.
+dependence graph is the program's memoized optional phase
+(:attr:`AnalyzedProgram.dependence_graph`): if it failed, the report
+notes the skip instead of crashing.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.tripcount import TripCountKind
-from repro.dependence.graph import build_dependence_graph
-from repro.dependence.loopinfo import analyze_parallelism
 from repro.pipeline import AnalyzedProgram
-from repro.resilience import isolation as _isolation
 
 
 def format_report(
@@ -46,15 +44,8 @@ def format_report(
         _append_diagnostics(lines, diagnostics)
         return "\n".join(lines)
 
-    graph = None
-    if show_dependences:
-        with _isolation.resilient(_report_log(program)):
-            graph = _isolation.run_optional(
-                "dependence.graph",
-                lambda: build_dependence_graph(result),
-                diag_code="RES502",
-            )
-    parallelism = analyze_parallelism(result, graph) if graph is not None else {}
+    graph = program.dependence_graph if show_dependences else None
+    parallelism = program.parallelism if show_dependences else {}
 
     for loop in sorted(result.loops.values(), key=lambda s: s.loop.depth):
         summary = loop
@@ -119,18 +110,6 @@ def format_report(
     _append_resilience(lines, program)
     _append_diagnostics(lines, diagnostics)
     return "\n".join(lines)
-
-
-def _report_log(program: AnalyzedProgram) -> _isolation.DegradationLog:
-    """A log whose records land in ``program.degradations``.
-
-    Report-time optional phases (the dependence graph) degrade into the
-    same list the pipeline filled, so one ``== resilience ==`` section
-    covers both.
-    """
-    log = _isolation.DegradationLog()
-    log.records = program.degradations
-    return log
 
 
 def _append_ranges(

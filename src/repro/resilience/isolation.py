@@ -204,7 +204,7 @@ def run_optional(
             log = _LOG.get()
             assert log is not None
             log.record(
-                phase=phase,
+                phase=wrapped.phase or phase,
                 code=wrapped.code,
                 message=wrapped.message,
                 diag_code="RES504",

@@ -170,9 +170,7 @@ def _run_python_job(
 
     try:
         with observing(), source_lang("python"):
-            from repro.analysis.loopsimplify import simplify_loops
-            from repro.ir.clone import clone_function
-            from repro.pipeline import analyze_function
+            from repro.pipeline import analyze_lowered
             from repro.pyfront.lower import compile_module
 
             module = compile_module(source, origin=job.get("origin") or "<python>")
@@ -223,13 +221,8 @@ def _run_python_job(
                     record["functions"]["degraded"] += 1
                     degraded = True
                     continue
-                named = clone_function(compiled.function)
-                try:
-                    simplify_loops(named)
-                except Exception:  # noqa: BLE001 - analyze the raw shape
-                    named = clone_function(compiled.function)
-                program = analyze_function(
-                    named,
+                program = analyze_lowered(
+                    compiled.function,
                     source=compiled.source,
                     optimize=bool(options.get("optimize", True)),
                     budget=budget,

@@ -235,6 +235,25 @@ return i
         unused = [d for d in out if d.code == "SRC404"]
         assert any("u" in (d.name or "") for d in unused)
 
+    def test_src404_skips_compiler_temporaries(self):
+        # the assume's comparison lowers to a temporary nothing reads
+        program = analyze(
+            """
+assume n >= 1
+i = 0
+L1: while i < n do
+  u = i + 7
+  i = i + 1
+endwhile
+return i
+"""
+        )
+        assert "$t1.1" in program.ssa.definitions()
+        out = run_lints(program, lint_source)
+        unused = [d.name for d in out if d.code == "SRC404"]
+        assert "u.1" in unused
+        assert not [name for name in unused if name.startswith("$")]
+
     def test_affine_subscript_clean(self):
         program = analyze(COUNTING.replace("i = i + 2", "A[i] = i\n  i = i + 2"))
         out = run_lints(program, lint_source)

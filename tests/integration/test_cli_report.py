@@ -117,6 +117,17 @@ class TestCLI:
             assert code == 0
             assert out.startswith("digraph")
 
+    def test_dot_deps_when_the_graph_fails(self, tmp_path, monkeypatch, capsys):
+        import repro.dependence.graph as graph_module
+
+        def broken(result, *args, **kwargs):
+            raise RuntimeError("broken graph")
+
+        monkeypatch.setattr(graph_module, "build_dependence_graph", broken)
+        code, out = self.run_cli(tmp_path, ["--dot-deps"])
+        assert code == 1 and out == ""
+        assert "dependence analysis failed" in capsys.readouterr().err
+
     def test_no_deps(self, tmp_path):
         code, out = self.run_cli(tmp_path, ["--no-deps"])
         assert code == 0

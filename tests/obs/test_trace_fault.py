@@ -46,8 +46,9 @@ def test_trace_closes_spans_under_fault(point):
 
 
 def test_dependence_graph_fault_keeps_trace_valid():
-    # the graph is an optional phase of the report, not of analyze();
-    # format_report contains the fault and must leave the trace balanced
+    # the graph is built on the program's first read of it, not in
+    # analyze(); format_report's read contains the fault and must leave
+    # the trace balanced
     from repro.report import format_report
 
     with observing() as obs:

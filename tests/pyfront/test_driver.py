@@ -2,6 +2,7 @@
 
 import json
 import os
+from contextlib import nullcontext
 
 import pytest
 
@@ -162,11 +163,15 @@ def test_dependence_graph_built_once_per_lowered_function(tmp_path, monkeypatch)
     path = tmp_path / "indirect.py"
     path.write_text(INDIRECT)
     builds = _count_builds(monkeypatch)
-    result = pylint_paths([str(path), CORPUS])
-    assert len(builds) == result.lowered
-    assert [d.code for d in result.findings].count("SRC405") == 1
-    rows = [row for outcome in result.outcomes for row in outcome.loops]
-    assert all(row["parallel"] is not None for row in rows)
+    # the run-log record reads the same graph as the lints and verdicts
+    for recording in (nullcontext(), runlog.recording(str(tmp_path / "runs"))):
+        builds.clear()
+        with recording:
+            result = pylint_paths([str(path), CORPUS])
+        assert len(builds) == result.lowered
+        assert [d.code for d in result.findings].count("SRC405") == 1
+        rows = [row for outcome in result.outcomes for row in outcome.loops]
+        assert all(row["parallel"] is not None for row in rows)
 
 
 def test_failed_graph_build_leaves_verdicts_undecided_and_no_src405(
@@ -179,4 +184,18 @@ def test_failed_graph_build_leaves_verdicts_undecided_and_no_src405(
     assert result.lowered == 1 and len(builds) == 1
     (row,) = result.outcomes[0].loops
     assert row["parallel"] is None and row["blocked_by"] == []
-    assert "SRC405" not in [d.code for d in result.findings]
+    codes = [d.code for d in result.findings]
+    assert "SRC405" not in codes
+    assert codes.count("RES502") == 1
+
+
+def test_failed_loop_simplify_is_recorded_and_the_raw_shape_analyzed(tmp_path):
+    from repro.resilience import FaultPlan, injecting
+
+    path = tmp_path / "indirect.py"
+    path.write_text(INDIRECT)
+    with injecting(FaultPlan(points={"analysis.loop-simplify"})):
+        result = pylint_paths([str(path)])
+    (skip,) = [d for d in result.findings if d.code == "RES502"]
+    assert skip.stage == "analysis.loop-simplify"
+    assert result.lowered == 1 and result.outcomes[0].loops

@@ -3,8 +3,8 @@
 The def-use worklist (:func:`repro.ranges.analysis._fixpoint_worklist`)
 must compute exactly the intervals of the historical whole-function
 re-sweep it replaced -- on random programs, on parameterized programs,
-and on every embedded example.  The re-sweep survives (not exported) as
-:func:`repro.ranges.analysis._compute_resweep` purely for these tests.
+and on every embedded example.  The re-sweep survives as
+:func:`tests.ranges.resweep.compute_resweep` purely for these tests.
 """
 
 import os
@@ -13,9 +13,10 @@ from hypothesis import given, settings
 
 from repro.core.driver import classify_function
 from repro.pipeline import analyze
-from repro.ranges.analysis import MAX_PASSES, _compute, _compute_resweep
+from repro.ranges.analysis import _compute
 
 from tests.property.test_range_soundness import assumed_programs, loop_programs
+from tests.ranges.resweep import MAX_PASSES, compute_resweep
 
 
 def _both_fixpoints(source):
@@ -23,7 +24,7 @@ def _both_fixpoints(source):
     program = analyze(source)
     result = classify_function(program.ssa)
     fast = _compute(result.function, result)
-    slow = _compute_resweep(result.function, result)
+    slow = compute_resweep(result.function, result)
     return fast, slow
 
 

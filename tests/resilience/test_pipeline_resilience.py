@@ -91,6 +91,20 @@ class TestPhaseContainment:
             program = analyze(SRC)
         assert [r.action for r in program.degradations] == ["retried"]
         assert program.degradations[0].diag_code == "RES504"
+        assert program.degradations[0].phase == "scalar.sccp"
+        assert program.result.describe(
+            program.ssa_name("i", "L1")
+        ).startswith("(L1,")
+
+    def test_failed_optimize_retry_skips_to_unoptimized_ssa(self):
+        plan = FaultPlan(points={"scalar.sccp"}, transient=True)
+        with injecting(plan):
+            program = analyze(SRC)
+        assert [(r.phase, r.action, r.diag_code) for r in program.degradations] == [
+            ("scalar.sccp", "retried", "RES504"),
+            ("scalar.sccp", "skipped", "RES502"),
+        ]
+        assert plan.hits["scalar.sccp"] == 2
         assert program.result.describe(
             program.ssa_name("i", "L1")
         ).startswith("(L1,")
@@ -116,6 +130,45 @@ class TestPhaseContainment:
 
         with pytest.raises(FrontendError):
             analyze("L1: while do\n")
+
+
+class TestDependencePhase:
+    def test_graph_and_verdicts_are_built_once(self, monkeypatch):
+        import repro.dependence.graph as graph_module
+
+        builds = []
+        build = graph_module.build_dependence_graph
+
+        def counted(result, *args, **kwargs):
+            builds.append(result)
+            return build(result, *args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "build_dependence_graph", counted)
+        program = analyze(NESTED_SRC)
+        assert not builds  # nothing reads it yet
+        graph = program.dependence_graph
+        assert program.dependence_graph is graph
+        assert program.parallelism is program.parallelism
+        assert set(program.parallelism) == {"L1", "L2"}
+        assert len(builds) == 1
+
+    def test_failed_build_leaves_one_record(self):
+        from repro.obs.explain import explain
+        from repro.report import format_report
+
+        program = analyze(SRC)
+        with injecting(FaultPlan(points={"dependence.graph"})):
+            assert program.dependence_graph is None
+        assert program.parallelism == {}
+        (record,) = program.degradations
+        assert (record.phase, record.action, record.diag_code) == (
+            "dependence.graph", "skipped", "RES502"
+        )
+        assert "skipped (dependence analysis degraded)" in format_report(program)
+        assert f"dependence analysis failed ({record.message})" in explain(
+            program, "L1"
+        )
+        assert len(program.degradations) == 1
 
 
 class TestStrictMode:
